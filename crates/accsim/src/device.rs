@@ -13,6 +13,7 @@ use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::workdiv::WorkDiv;
+use alpaka_core::Recorder;
 use alpaka_kir::{optimize, trace_kernel_spec, PassStats, Program, SpecConsts};
 use alpaka_sim::{
     resolve_sim_engine, resolve_sim_threads, run_kernel_launch_faulty, transfer_time, DeviceMem,
@@ -70,6 +71,9 @@ pub struct SimDevice {
     /// the default (`Engine::Compiled`, overridable per process via the
     /// `ALPAKA_SIM_ENGINE` environment variable).
     engine: Option<Engine>,
+    /// Recorder bound at construction; its tracing switch turns on the
+    /// per-instruction profile of every launch.
+    recorder: Recorder,
 }
 
 impl SimDevice {
@@ -95,6 +99,7 @@ impl SimDevice {
             })),
             threads: threads.max(1),
             engine: None,
+            recorder: Recorder::current(),
         }
     }
 
@@ -111,6 +116,12 @@ impl SimDevice {
     /// `ALPAKA_SIM_ENGINE` override is unset.
     pub fn engine(&self) -> Engine {
         self.engine.unwrap_or(Engine::Compiled)
+    }
+
+    /// The recorder this device bound at construction
+    /// ([`Recorder::current`]).
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 
     /// Number of kernel launches attempted on this device so far (shared
@@ -398,6 +409,7 @@ impl SimDevice {
             resolve_sim_threads(self.threads),
             engine,
             faults,
+            self.recorder.tracing(),
         )
         .map_err(|e| to_core_error(&compiled.program.name, e))?;
         st.clock_s += report.time.total_s;

@@ -10,9 +10,9 @@ use alpaka_core::acc::AccCaps;
 use alpaka_core::buffer::BufLayout;
 use alpaka_core::error::Result;
 use alpaka_core::kernel::Kernel;
-use alpaka_core::trace;
 use alpaka_core::vec::div_ceil;
 use alpaka_core::workdiv::WorkDiv;
+use alpaka_core::Recorder;
 use alpaka_cpu::{CpuAccKind, CpuDevice};
 use alpaka_sim::DeviceSpec;
 use alpaka_sim::{Engine, FaultPlan};
@@ -84,12 +84,18 @@ pub(crate) enum DeviceImpl {
 }
 
 /// A device of any back-end.
+///
+/// A device binds a [`Recorder`] when it is constructed (the enclosing
+/// `trace::capture` / `metrics::capture`, else the process default), and
+/// everything it, its queues and its launches record goes there.
 #[derive(Clone)]
 pub struct Device {
     kind: AccKind,
     pub(crate) inner: DeviceImpl,
-    /// Process-unique trace ordinal (shared by clones of this handle).
+    /// Trace ordinal within the bound recorder (shared by clones of this
+    /// handle).
     id: u64,
+    recorder: Recorder,
 }
 
 impl Device {
@@ -107,11 +113,7 @@ impl Device {
                 DeviceImpl::Sim(alpaka_accsim::SimDevice::new(spec.clone()))
             }
         };
-        Device {
-            kind,
-            inner,
-            id: trace::next_device_id(),
-        }
+        Device::bind(kind, inner)
     }
 
     /// Like [`Device::new`] but with an explicit worker count for the
@@ -143,10 +145,21 @@ impl Device {
                 ))
             }
         };
+        Device::bind(kind, inner)
+    }
+
+    /// Bind the current recorder (the one a simulated device already took)
+    /// and allocate this device's id from it.
+    fn bind(kind: AccKind, inner: DeviceImpl) -> Device {
+        let recorder = match &inner {
+            DeviceImpl::Sim(d) => d.recorder().clone(),
+            DeviceImpl::Cpu(_) => Recorder::current(),
+        };
         Device {
             kind,
             inner,
-            id: trace::next_device_id(),
+            id: recorder.next_device_id(),
+            recorder,
         }
     }
 
@@ -154,10 +167,16 @@ impl Device {
         &self.kind
     }
 
-    /// Process-unique trace ordinal of this device handle (the `pid` of its
-    /// lanes in a Chrome-trace export).
+    /// Trace ordinal of this device within its recorder (the `pid` of its
+    /// lanes in a Chrome-trace export). Unique among the devices and pools
+    /// of one recorder; devices of different recorders may share an id.
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The recorder this device bound at construction.
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 
     /// Select the simulator interpreter engine for launches on this device

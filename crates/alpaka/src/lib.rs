@@ -51,6 +51,7 @@ pub use alpaka_core::queue::{HostEvent, QueueBehavior};
 pub use alpaka_core::trace;
 pub use alpaka_core::trace::{TraceEvent, TraceKind};
 pub use alpaka_core::workdiv::WorkDiv;
+pub use alpaka_core::Recorder;
 pub use alpaka_sim::{Engine, FaultPlan, KernelProfile, SimReport};
 pub use alpaka_trace::{
     chrome_trace, resilience_report, roofline_csv, text_report, validate_json, ChromeOpts, Tracer,

@@ -44,9 +44,10 @@
 
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::Kernel;
-use alpaka_core::metrics;
-use alpaka_core::trace::{self, TraceEvent, TraceKind};
+use alpaka_core::metrics::COUNT_BUCKETS;
+use alpaka_core::trace::{TraceEvent, TraceKind};
 use alpaka_core::workdiv::WorkDiv;
+use alpaka_core::Recorder;
 use alpaka_sim::{AttemptRecord, FaultPlan, LaunchStats, ResilienceInfo, SimReport};
 
 use crate::device::{Device, DeviceImpl};
@@ -84,13 +85,6 @@ impl Health {
             Health::Recovered => "recovered",
         }
     }
-}
-
-/// Count a structured pool-launch failure in the metrics registry before
-/// surfacing it (no-op when metrics are disabled).
-fn note_pool_failure(e: Error) -> Error {
-    metrics::note_failure(fault_kind(&e), &e.to_string());
-    e
 }
 
 /// Pool-level fault handling knobs.
@@ -181,6 +175,9 @@ pub struct DevicePool {
     /// [`DevicePool::new_sim`], so captured streams give the pool the same
     /// id regardless of pool size).
     trace_id: u64,
+    /// Recorder bound at construction: the pool lane, the member lanes and
+    /// the pool metrics go here.
+    recorder: Recorder,
     /// Serialized pool clock in simulated seconds (sum of shard times and
     /// backoffs across all launches so far).
     clock_s: f64,
@@ -189,14 +186,16 @@ pub struct DevicePool {
 }
 
 impl DevicePool {
-    /// A pool of `n` identical simulated devices of `kind`. The pool's
-    /// trace id is allocated *before* the members, so under
-    /// [`trace::capture`] the canonical pool lane has the same id for
-    /// every pool size.
+    /// A pool of `n` identical simulated devices of `kind`. The pool and
+    /// its members bind the current recorder, and the pool's trace id is
+    /// allocated from it *before* the members' ids, so in a fresh recorder
+    /// (`trace::capture`) the canonical pool lane has the same id for every
+    /// pool size.
     pub fn new_sim(kind: crate::AccKind, n: usize) -> Result<DevicePool> {
-        let trace_id = trace::next_device_id();
+        let recorder = Recorder::current();
+        let trace_id = recorder.next_device_id();
         let devices: Vec<Device> = (0..n.max(1)).map(|_| Device::new(kind.clone())).collect();
-        Self::build(devices, trace_id)
+        Self::build(devices, recorder, trace_id)
     }
 
     /// [`DevicePool::new_sim`] with an explicit interpreter worker count
@@ -206,18 +205,21 @@ impl DevicePool {
         n: usize,
         workers: usize,
     ) -> Result<DevicePool> {
-        let trace_id = trace::next_device_id();
+        let recorder = Recorder::current();
+        let trace_id = recorder.next_device_id();
         let devices: Vec<Device> = (0..n.max(1))
             .map(|_| Device::with_workers(kind.clone(), workers))
             .collect();
-        Self::build(devices, trace_id)
+        Self::build(devices, recorder, trace_id)
     }
 
     /// A pool over existing devices (every one must be simulated — sharded
-    /// sub-grid execution needs the simulator).
+    /// sub-grid execution needs the simulator). The pool binds the current
+    /// recorder.
     pub fn from_devices(devices: Vec<Device>) -> Result<DevicePool> {
-        let trace_id = trace::next_device_id();
-        Self::build(devices, trace_id)
+        let recorder = Recorder::current();
+        let trace_id = recorder.next_device_id();
+        Self::build(devices, recorder, trace_id)
     }
 
     /// A pool whose member order is a [`FallbackChain`]: the chain's
@@ -227,7 +229,7 @@ impl DevicePool {
         Self::from_devices(chain.devices().to_vec())
     }
 
-    fn build(devices: Vec<Device>, trace_id: u64) -> Result<DevicePool> {
+    fn build(devices: Vec<Device>, recorder: Recorder, trace_id: u64) -> Result<DevicePool> {
         if devices.is_empty() {
             return Err(Error::BadArg(
                 "device pool needs at least one device".into(),
@@ -247,6 +249,7 @@ impl DevicePool {
             policy: PoolPolicy::default(),
             cooldown: vec![0; n],
             trace_id,
+            recorder,
             clock_s: 0.0,
             launches: 0,
         })
@@ -284,6 +287,13 @@ impl DevicePool {
     /// The pool's canonical trace lane id.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
+    }
+
+    /// Count a structured pool-launch failure in the metrics registry
+    /// before surfacing it (no-op when metrics are off).
+    fn note_failure(&self, e: Error) -> Error {
+        self.recorder.note_failure(fault_kind(&e), &e.to_string());
+        e
     }
 
     /// Serialized pool clock (simulated seconds across all launches).
@@ -336,7 +346,8 @@ impl DevicePool {
             .filter(|(a, b)| a < b)
             .collect();
 
-        let traced = trace::active();
+        let rec = self.recorder.clone();
+        let traced = rec.active();
         let ordinal = self.launches;
         self.launches += 1;
         let launch_t0 = self.clock_s;
@@ -361,10 +372,10 @@ impl DevicePool {
         let mut rr = 0usize; // round-robin assignment cursor
         for (k, &(start, end)) in ranges.iter().enumerate() {
             self.check_deadline(launch_t0, k, &ranges)
-                .map_err(note_pool_failure)?;
+                .map_err(|e| self.note_failure(e))?;
             self.recover_cooled_members(traced, &mut pool_events);
             let Some(owner) = self.next_available(rr) else {
-                return Err(note_pool_failure(self.unrecoverable(k, start, end, None)));
+                return Err(self.note_failure(self.unrecoverable(k, start, end, None)));
             };
             rr = owner + 1;
 
@@ -379,15 +390,8 @@ impl DevicePool {
                 loop {
                     shard_attempts += 1;
                     attempts_total += 1;
-                    let result = run_shard(
-                        &dev,
-                        spec,
-                        &wd,
-                        (start, end),
-                        &mut state_f,
-                        &mut state_i,
-                        traced,
-                    );
+                    let result =
+                        run_shard(&dev, spec, &wd, (start, end), &mut state_f, &mut state_i);
                     history.push(AttemptRecord {
                         attempt: attempts_total,
                         device: dev.name(),
@@ -398,7 +402,7 @@ impl DevicePool {
                     match result {
                         Ok(report) => break 'migrate Ok(report),
                         Err(e) => {
-                            metrics::counter_add(
+                            rec.counter_add(
                                 "alpaka_pool_faults_total",
                                 &[("kind", fault_kind(&e))],
                                 1,
@@ -433,9 +437,9 @@ impl DevicePool {
                                     dev.advance_sim_clock(pause);
                                     self.clock_s += pause;
                                     backoff_total += pause;
-                                    metrics::observe("alpaka_pool_backoff_seconds", &[], pause);
+                                    rec.observe("alpaka_pool_backoff_seconds", &[], pause);
                                     self.check_deadline(launch_t0, k, &ranges)
-                                        .map_err(note_pool_failure)?;
+                                        .map_err(|e| self.note_failure(e))?;
                                 }
                                 _ => {
                                     // Sticky loss, or a transient that
@@ -446,11 +450,7 @@ impl DevicePool {
                                     let from = member;
                                     match self.next_available(from + 1) {
                                         Some(next) => {
-                                            metrics::counter_add(
-                                                "alpaka_pool_migrations_total",
-                                                &[],
-                                                1,
-                                            );
+                                            rec.counter_add("alpaka_pool_migrations_total", &[], 1);
                                             let err_str = e.to_string();
                                             migrations.push(MigrationRecord {
                                                 shard: k,
@@ -505,10 +505,8 @@ impl DevicePool {
             let report = match outcome {
                 Ok(r) => r,
                 Err(e) => {
-                    if traced {
-                        trace::emit_all(pool_events);
-                    }
-                    return Err(note_pool_failure(e));
+                    rec.emit_all(pool_events);
+                    return Err(self.note_failure(e));
                 }
             };
 
@@ -563,7 +561,7 @@ impl DevicePool {
             // migrate events in execution order), then the member lanes in
             // fixed device-then-shard order.
             let name = kernel_name(&spec.kernel);
-            trace::emit(
+            rec.emit(
                 TraceEvent::new(TraceKind::Launch, name, self.trace_id, launch_t0)
                     .span_until(self.clock_s)
                     .on_launch(ordinal)
@@ -572,32 +570,32 @@ impl DevicePool {
                     .with("flops", merged.total_flops() as f64)
                     .with("total_s", self.clock_s - launch_t0),
             );
-            trace::emit_all(pool_events);
-            trace::emit_all(member_events.into_iter().flatten());
+            rec.emit_all(pool_events);
+            rec.emit_all(member_events.into_iter().flatten());
         }
 
-        if metrics::enabled() {
+        if rec.metering() {
             // Everything below derives from the serialized pool clock and
             // the shard records, both invariant across pool sizes, thread
             // counts and engines. The makespan is deliberately NOT recorded:
             // it depends on how shards landed on members, i.e. on pool size.
             let name = kernel_name(&spec.kernel);
-            metrics::counter_add("alpaka_pool_launches_total", &[("kernel", &name)], 1);
-            metrics::counter_add(
+            rec.counter_add("alpaka_pool_launches_total", &[("kernel", &name)], 1);
+            rec.counter_add(
                 "alpaka_pool_shards_total",
                 &[("kernel", &name)],
                 records.len() as u64,
             );
             for r in &records {
-                metrics::observe("alpaka_pool_shard_seconds", &[], r.time_s);
-                metrics::observe_in(
+                rec.observe("alpaka_pool_shard_seconds", &[], r.time_s);
+                rec.observe_in(
                     "alpaka_pool_shard_attempts",
                     &[],
-                    metrics::COUNT_BUCKETS,
+                    COUNT_BUCKETS,
                     r.attempts as f64,
                 );
             }
-            metrics::observe(
+            rec.observe(
                 "alpaka_pool_launch_serial_seconds",
                 &[],
                 self.clock_s - launch_t0,
@@ -635,7 +633,7 @@ impl DevicePool {
     fn set_health(&mut self, member: usize, to: Health) {
         let from = self.health[member];
         if from != to {
-            metrics::counter_add(
+            self.recorder.counter_add(
                 "alpaka_pool_health_transitions_total",
                 &[("from", from.name()), ("to", to.name())],
                 1,
@@ -664,10 +662,10 @@ impl DevicePool {
             {
                 self.devices[m].mark_recovered();
                 self.devices[m].revive();
-                metrics::observe_in(
+                self.recorder.observe_in(
                     "alpaka_pool_quarantine_shards",
                     &[],
-                    metrics::COUNT_BUCKETS,
+                    COUNT_BUCKETS,
                     self.cooldown[m] as f64,
                 );
                 self.set_health(m, Health::Recovered);
@@ -792,7 +790,6 @@ fn run_shard<K: Kernel + Clone + Send + 'static>(
     (start, end): (usize, usize),
     state_f: &mut [Vec<f64>],
     state_i: &mut [Vec<i64>],
-    _traced: bool,
 ) -> Result<SimReport> {
     if dev.is_lost() {
         return Err(Error::DeviceLost(format!(

@@ -5,10 +5,10 @@ use std::time::Instant;
 
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
-use alpaka_core::metrics;
 use alpaka_core::queue::{HostEvent, QueueBehavior};
-use alpaka_core::trace::{self, TraceEvent, TraceKind};
+use alpaka_core::trace::{TraceEvent, TraceKind};
 use alpaka_core::workdiv::WorkDiv;
+use alpaka_core::Recorder;
 use alpaka_cpu::{CpuArgs, CpuQueue};
 use alpaka_sim::{ExecMode, SimReport};
 use parking_lot::Mutex;
@@ -20,14 +20,14 @@ use crate::resilient::fault_kind;
 /// Count one queue operation (and, for completed results, its outcome) in
 /// the metrics registry. No queue/device-id labels: snapshots must stay
 /// byte-identical regardless of how ids were allocated.
-fn count_op(op: &'static str) {
-    metrics::counter_add("alpaka_queue_ops_total", &[("op", op)], 1);
+fn count_op(rec: &Recorder, op: &'static str) {
+    rec.counter_add("alpaka_queue_ops_total", &[("op", op)], 1);
 }
 
-fn count_op_result(op: &'static str, r: &Result<()>) {
+fn count_op_result(rec: &Recorder, op: &'static str, r: &Result<()>) {
     match r {
-        Ok(()) => metrics::counter_add("alpaka_queue_ops_completed_total", &[("op", op)], 1),
-        Err(e) => metrics::counter_add(
+        Ok(()) => rec.counter_add("alpaka_queue_ops_completed_total", &[("op", op)], 1),
+        Err(e) => rec.counter_add(
             "alpaka_queue_op_errors_total",
             &[("op", op), ("kind", fault_kind(e))],
             1,
@@ -114,8 +114,8 @@ pub(crate) fn launch_sync_report<K: Kernel + ?Sized>(
             Ok(None)
         }
         DeviceImpl::Sim(d) => Ok(Some(run_sim_traced(
+            dev,
             d,
-            dev.id(),
             kernel,
             wd,
             &args.to_sim()?,
@@ -128,14 +128,15 @@ pub(crate) fn launch_sync_report<K: Kernel + ?Sized>(
 /// direct-launch path (`Device::launch`, [`time_launch`]) shares the trace
 /// emission of [`Queue::enqueue_kernel`], minus the queue-side span.
 pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
+    dev: &Device,
     d: &alpaka_accsim::SimDevice,
-    dev_id: u64,
     kernel: &K,
     wd: &WorkDiv,
     args: &alpaka_accsim::SimLaunchArgs,
     mode: ExecMode,
 ) -> Result<SimReport> {
-    let traced = trace::active();
+    let rec = dev.recorder();
+    let traced = rec.active();
     let (t0, ordinal, model) = if traced {
         let s = d.spec();
         (
@@ -149,24 +150,25 @@ pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
     match d.run(kernel, wd, args, mode) {
         Ok(report) => {
             if traced {
-                emit_launch_events(kernel.name(), dev_id, None, ordinal, model, t0, &report);
+                let name = kernel.name();
+                emit_launch_events(rec, name, dev.id(), None, ordinal, model, t0, &report);
             }
-            alpaka_sim::metrics::record_launch(kernel.name(), &report);
+            alpaka_sim::metrics::record_launch(rec, kernel.name(), &report);
             Ok(report)
         }
         Err(e) => {
             if traced {
-                trace::emit(
+                rec.emit(
                     TraceEvent::new(
                         TraceKind::Fault,
                         format!("{}: {e}", kernel.name()),
-                        dev_id,
+                        dev.id(),
                         t0,
                     )
                     .on_launch(ordinal),
                 );
             }
-            metrics::note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
+            rec.note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
             Err(e)
         }
     }
@@ -194,11 +196,13 @@ pub struct Queue {
     sticky: Mutex<Option<Error>>,
     /// Monotonic per-queue operation ordinal, keying injected worker death.
     ops: AtomicU64,
-    /// Process-unique trace ordinal (the queue's lane in exports).
+    /// Trace ordinal within the device's recorder (the queue's lane in
+    /// exports).
     id: u64,
 }
 
 impl Queue {
+    /// A queue on `device`; it records into the device's recorder.
     pub fn new(device: Device, behavior: QueueBehavior) -> Self {
         let inner = match &device.inner {
             DeviceImpl::Cpu(d) => QImpl::Cpu(CpuQueue::new(d.clone(), behavior)),
@@ -208,21 +212,25 @@ impl Queue {
             )))),
         };
         Queue {
+            id: device.recorder().next_queue_id(),
             device,
             behavior,
             inner,
             sticky: Mutex::new(None),
             ops: AtomicU64::new(0),
-            id: trace::next_queue_id(),
         }
+    }
+
+    fn rec(&self) -> &Recorder {
+        self.device.recorder()
     }
 
     pub fn device(&self) -> &Device {
         &self.device
     }
 
-    /// Process-unique trace ordinal of this queue (its lane id in a
-    /// Chrome-trace export, and the id named in wait-error context).
+    /// Trace ordinal of this queue within its device's recorder (its lane
+    /// id in a Chrome-trace export, and the id named in wait-error context).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -320,7 +328,7 @@ impl Queue {
         args: &Args,
     ) -> Result<()> {
         self.check_sticky()?;
-        count_op("kernel");
+        count_op(self.rec(), "kernel");
         self.consume_op()?;
         if self.sticky.lock().is_some() {
             // consume_op absorbed an injected death; this op never runs.
@@ -330,7 +338,8 @@ impl Queue {
             QImpl::Cpu(q) => q.enqueue_kernel(kernel.clone(), *wd, args.to_cpu()?),
             QImpl::Sim(q) => {
                 let mut ql = q.lock();
-                let traced = trace::active();
+                let rec = self.rec();
+                let traced = rec.active();
                 let (t0, ordinal, model) = if traced {
                     let d = ql.device();
                     let s = d.spec();
@@ -346,6 +355,7 @@ impl Queue {
                     Ok(report) => {
                         if traced {
                             emit_launch_events(
+                                rec,
                                 kernel.name(),
                                 self.device.id(),
                                 Some(self.id),
@@ -355,12 +365,12 @@ impl Queue {
                                 report,
                             );
                         }
-                        alpaka_sim::metrics::record_launch(kernel.name(), report);
+                        alpaka_sim::metrics::record_launch(rec, kernel.name(), report);
                         Ok(())
                     }
                     Err(e) => {
                         if traced {
-                            trace::emit(
+                            rec.emit(
                                 TraceEvent::new(
                                     TraceKind::Fault,
                                     format!("{}: {e}", kernel.name()),
@@ -371,12 +381,12 @@ impl Queue {
                                 .on_launch(ordinal),
                             );
                         }
-                        metrics::note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
+                        rec.note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
                         Err(e)
                     }
                 };
                 drop(ql);
-                count_op_result("kernel", &out);
+                count_op_result(rec, "kernel", &out);
                 self.absorb(out)
             }
         }
@@ -387,7 +397,7 @@ impl Queue {
     /// first drain the queue (preserving in-order semantics) and then run.
     pub fn enqueue_copy_f64(&self, dst: &BufferF, src: &BufferF) -> Result<()> {
         self.check_sticky()?;
-        count_op("copy");
+        count_op(self.rec(), "copy");
         self.consume_op()?;
         if self.sticky.lock().is_some() {
             return Ok(());
@@ -408,7 +418,7 @@ impl Queue {
     /// [`Queue::enqueue_copy_f64`]).
     pub fn enqueue_copy_i64(&self, dst: &BufferI, src: &BufferI) -> Result<()> {
         self.check_sticky()?;
-        count_op("copy");
+        count_op(self.rec(), "copy");
         self.consume_op()?;
         if self.sticky.lock().is_some() {
             return Ok(());
@@ -427,20 +437,21 @@ impl Queue {
 
     /// Emit the span of a completed copy (or the fault of a failed one).
     fn trace_copy(&self, label: &str, t0: f64, r: &Result<()>) {
-        count_op_result("copy", r);
+        let rec = self.rec();
+        count_op_result(rec, "copy", r);
         if let Err(e) = r {
-            metrics::note_failure(fault_kind(e), &format!("{label}: {e}"));
+            rec.note_failure(fault_kind(e), &format!("{label}: {e}"));
         }
-        if !trace::active() {
+        if !rec.active() {
             return;
         }
         match r {
-            Ok(()) => trace::emit(
+            Ok(()) => rec.emit(
                 TraceEvent::new(TraceKind::Copy, label, self.device.id(), t0)
                     .span_until(self.device.sim_clock_s())
                     .on_queue(self.id),
             ),
-            Err(e) => trace::emit(
+            Err(e) => rec.emit(
                 TraceEvent::new(
                     TraceKind::Fault,
                     format!("{label}: {e}"),
@@ -455,9 +466,9 @@ impl Queue {
     /// Enqueue an event signaled once all prior operations completed.
     pub fn enqueue_event(&self, ev: &HostEvent) -> Result<()> {
         self.check_sticky()?;
-        count_op("event");
-        if trace::active() {
-            trace::emit(
+        count_op(self.rec(), "event");
+        if self.rec().active() {
+            self.rec().emit(
                 TraceEvent::new(
                     TraceKind::EventRecord,
                     "event",
@@ -477,15 +488,16 @@ impl Queue {
     /// error is sticky: it is reported again by every later operation until
     /// [`Queue::reset`].
     pub fn wait(&self) -> Result<()> {
-        count_op("wait");
-        if metrics::enabled() {
+        let rec = self.rec();
+        count_op(rec, "wait");
+        if rec.metering() {
             // Simulated seconds of work drained by waits on this queue so
             // far (the simulated analogue of host wait time; deterministic,
             // unlike a wall-clock measurement).
-            metrics::observe("alpaka_queue_wait_sim_seconds", &[], self.sim_elapsed_s());
+            rec.observe("alpaka_queue_wait_sim_seconds", &[], self.sim_elapsed_s());
         }
-        if trace::active() {
-            trace::emit(
+        if rec.active() {
+            rec.emit(
                 TraceEvent::new(
                     TraceKind::Wait,
                     "wait",
@@ -515,9 +527,9 @@ impl Queue {
     /// Returns early with the queue's error if the worker dies before the
     /// event can ever be signaled.
     pub fn wait_event(&self, ev: &HostEvent) -> Result<()> {
-        count_op("wait_event");
-        if trace::active() {
-            trace::emit(
+        count_op(self.rec(), "wait_event");
+        if self.rec().active() {
+            self.rec().emit(
                 TraceEvent::new(
                     TraceKind::Wait,
                     "wait_event",
@@ -655,7 +667,7 @@ pub fn time_launch<K: Kernel + ?Sized>(
                 LaunchMode::Exact => ExecMode::Full,
                 LaunchMode::TimingSampled(k) => ExecMode::SampleBlocks(k),
             };
-            let report = run_sim_traced(d, dev.id(), kernel, wd, &args.to_sim()?, exec_mode)?;
+            let report = run_sim_traced(dev, d, kernel, wd, &args.to_sim()?, exec_mode)?;
             Ok(TimedRun {
                 wall_s: start.elapsed().as_secs_f64(),
                 time_s: report.time.total_s,
@@ -701,7 +713,9 @@ where
 /// out on per-SM lanes. Everything is derived from the simulated clock and
 /// the deterministic per-block spans, so the stream is identical across
 /// interpreter thread counts and engines.
+#[allow(clippy::too_many_arguments)]
 fn emit_launch_events(
+    rec: &Recorder,
     kernel: &str,
     device: u64,
     queue: Option<u64>,
@@ -716,7 +730,7 @@ fn emit_launch_events(
     };
     let t1 = t0 + report.time.total_s;
     if let Some(q) = queue {
-        trace::emit(
+        rec.emit(
             TraceEvent::new(
                 TraceKind::QueueOp,
                 format!("enqueue_kernel:{kernel}"),
@@ -729,7 +743,7 @@ fn emit_launch_events(
         );
     }
     let s = &report.stats;
-    trace::emit(
+    rec.emit(
         on_queue(TraceEvent::new(TraceKind::Launch, kernel, device, t0))
             .span_until(t1)
             .on_launch(ordinal)
@@ -749,7 +763,7 @@ fn emit_launch_events(
     for b in &report.spans {
         let cur = cursors.entry(b.sm).or_insert(t0);
         let dur = if hz > 0.0 { b.cycles as f64 / hz } else { 0.0 };
-        trace::emit(
+        rec.emit(
             on_queue(TraceEvent::new(
                 TraceKind::BlockExec,
                 format!("block {}", b.block),
@@ -773,6 +787,7 @@ mod tests {
     use super::*;
     use crate::device::AccKind;
     use alpaka_core::ops::{KernelOps, KernelOpsExt};
+    use alpaka_core::trace;
 
     #[derive(Clone)]
     struct Scale;

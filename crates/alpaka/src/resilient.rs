@@ -23,8 +23,8 @@
 use alpaka_core::buffer::BufLayout;
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
-use alpaka_core::metrics;
-use alpaka_core::trace::{self, TraceEvent, TraceKind};
+use alpaka_core::metrics::COUNT_BUCKETS;
+use alpaka_core::trace::{TraceEvent, TraceKind};
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_sim::{AttemptRecord, ResilienceInfo, SimReport};
 
@@ -267,13 +267,13 @@ fn attempt<K: Kernel + Clone + Send + 'static>(
 /// same kernel — regardless of how many transient faults were retried or
 /// how many devices were lost along the way. Fails only when a
 /// deterministic kernel bug surfaces, or every device in the chain has
-/// been exhausted.
+/// been exhausted. Each attempt records into its device's recorder; an
+/// exhausted chain is noted in the primary's.
 pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
     chain: &FallbackChain,
     policy: &RetryPolicy,
     spec: &LaunchSpec<K>,
 ) -> Result<LaunchOutcome> {
-    let traced = trace::active();
     let mut attempts = 0u32;
     let mut backoff_total = 0.0f64;
     let mut errors: Vec<Error> = Vec::new();
@@ -284,9 +284,11 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
     // reports can total the backoff without replaying the policy.
     let mut backoff_before: f64;
     for (di, dev) in chain.devices().iter().enumerate() {
+        let rec = dev.recorder();
+        let traced = rec.active();
         if dev.is_lost() {
             if traced {
-                trace::emit(
+                rec.emit(
                     TraceEvent::new(
                         TraceKind::FailOver,
                         format!("skip {}: already lost", dev.name()),
@@ -301,14 +303,14 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                 dev.name()
             )));
             failovers += 1;
-            metrics::counter_add("alpaka_resilient_failovers_total", &[], 1);
+            rec.counter_add("alpaka_resilient_failovers_total", &[], 1);
             continue;
         }
         let mut retries = 0u32;
         backoff_before = 0.0;
         loop {
             attempts += 1;
-            metrics::counter_add("alpaka_resilient_attempts_total", &[], 1);
+            rec.counter_add("alpaka_resilient_attempts_total", &[], 1);
             let t0 = dev.sim_clock_s();
             let result = attempt(dev, spec);
             if traced {
@@ -318,7 +320,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                     Ok(_) => format!("attempt {attempts} on {}: ok", dev.name()),
                     Err(e) => format!("attempt {attempts} on {}: {e}", dev.name()),
                 };
-                trace::emit(
+                rec.emit(
                     TraceEvent::new(TraceKind::RetryAttempt, label, dev.id(), t0)
                         .span_until(dev.sim_clock_s())
                         .with("attempt", attempts as f64)
@@ -342,16 +344,16 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
             });
             match result {
                 Ok((bufs_f, bufs_i, mut report)) => {
-                    if metrics::enabled() {
-                        metrics::counter_add(
+                    if rec.metering() {
+                        rec.counter_add(
                             "alpaka_resilient_launches_total",
                             &[("kernel", spec.kernel.name())],
                             1,
                         );
-                        metrics::observe_in(
+                        rec.observe_in(
                             "alpaka_resilient_attempts_per_launch",
                             &[],
-                            metrics::COUNT_BUCKETS,
+                            COUNT_BUCKETS,
                             attempts as f64,
                         );
                     }
@@ -375,7 +377,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                     });
                 }
                 Err(e) => {
-                    metrics::counter_add(
+                    rec.counter_add(
                         "alpaka_resilient_faults_total",
                         &[("kind", fault_kind(&e))],
                         1,
@@ -385,7 +387,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                     match disposition {
                         Disposition::Fatal => {
                             let e = errors.pop().expect("just pushed");
-                            metrics::note_failure(
+                            rec.note_failure(
                                 fault_kind(&e),
                                 &format!("{} on {}: {e}", spec.kernel.name(), dev.name()),
                             );
@@ -393,7 +395,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                         }
                         Disposition::FailOver => {
                             if traced {
-                                trace::emit(
+                                rec.emit(
                                     TraceEvent::new(
                                         TraceKind::FailOver,
                                         format!(
@@ -408,13 +410,13 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                                 );
                             }
                             failovers += 1;
-                            metrics::counter_add("alpaka_resilient_failovers_total", &[], 1);
+                            rec.counter_add("alpaka_resilient_failovers_total", &[], 1);
                             break;
                         }
                         Disposition::Retry => {
                             if retries >= policy.max_retries {
                                 if traced {
-                                    trace::emit(
+                                    rec.emit(
                                         TraceEvent::new(
                                             TraceKind::FailOver,
                                             format!(
@@ -429,7 +431,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                                     );
                                 }
                                 failovers += 1;
-                                metrics::counter_add("alpaka_resilient_failovers_total", &[], 1);
+                                rec.counter_add("alpaka_resilient_failovers_total", &[], 1);
                                 break;
                             }
                             retries += 1;
@@ -437,7 +439,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                             dev.advance_sim_clock(pause);
                             backoff_total += pause;
                             backoff_before = pause;
-                            metrics::observe("alpaka_resilient_backoff_seconds", &[], pause);
+                            rec.observe("alpaka_resilient_backoff_seconds", &[], pause);
                         }
                     }
                 }
@@ -452,7 +454,9 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
             .map(|e| e.to_string())
             .unwrap_or_else(|| "none recorded".into()),
     ));
-    metrics::note_failure(fault_kind(&e), &format!("{}: {e}", spec.kernel.name()));
+    chain.devices()[0]
+        .recorder()
+        .note_failure(fault_kind(&e), &format!("{}: {e}", spec.kernel.name()));
     Err(e)
 }
 
@@ -461,6 +465,7 @@ mod tests {
     use super::*;
     use crate::device::AccKind;
     use alpaka_core::ops::{KernelOps, KernelOpsExt};
+    use alpaka_core::trace;
     use alpaka_sim::FaultPlan;
 
     #[derive(Clone)]

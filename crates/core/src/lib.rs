@@ -30,6 +30,7 @@ pub mod metrics;
 pub mod ops;
 pub mod pool;
 pub mod queue;
+pub mod recorder;
 pub mod trace;
 pub mod vec;
 pub mod workdiv;
@@ -40,6 +41,7 @@ pub use error::{Error, Result};
 pub use kernel::{Kernel, ScalarArgs};
 pub use ops::{KernelOps, KernelOpsExt};
 pub use queue::{HostEvent, QueueBehavior};
+pub use recorder::Recorder;
 pub use trace::{BlockSpan, TraceEvent, TraceKind};
 pub use vec::{div_ceil, map_idx, Vec1, Vec2, Vec3, Vecn};
 pub use workdiv::{predefined, PredefAcc, WorkDiv};

@@ -10,27 +10,30 @@
 //! gauges, which depend on which engine ran; exporters and acceptance tests
 //! mask those, exactly like `wall_ns` in trace exports.)
 //!
-//! The registry is **off by default** and the fast path is allocation-free:
-//! every recording site checks [`enabled`] (one relaxed atomic load) before
-//! building a key. Metrics turn on explicitly ([`set_enabled`] /
-//! `alpaka_metrics::MetricsHub`) or via the `ALPAKA_SIM_METRICS=<base>`
-//! environment variable, read once on first use.
+//! The registry belongs to a [`Recorder`]: every recording site writes to
+//! the recorder its device, queue or pool bound at construction. It is
+//! **off by default** and the fast path is allocation-free: every recording
+//! site checks [`Recorder::metering`] (one relaxed atomic load) before
+//! building a key. Metrics turn on for the process default explicitly
+//! ([`set_enabled`] / `alpaka_metrics::MetricsHub`) or via the
+//! `ALPAKA_SIM_METRICS=<base>` environment variable, read once on first
+//! use; [`capture`] records one closure into a recorder of its own.
 //!
 //! Histograms keep two representations at once: fixed log-spaced bucket
 //! counts (for Prometheus-style exposition) *and* the raw sample list,
 //! bounded by [`SAMPLE_CAP`] with an explicit drop counter, so p50/p95/p99
 //! are exact nearest-rank percentiles rather than bucket interpolations.
 //!
-//! The flight recorder retains the last [`flight_capacity`] trace events per
-//! device (fed by `trace::emit` whenever metrics are enabled, even with the
-//! trace sink off) and a bounded list of launch-failure notes; together with
-//! a snapshot they form the post-mortem that `alpaka-metrics` renders when a
-//! launch fails with a structured error.
+//! The flight recorder retains the last [`Recorder::flight_capacity`] trace
+//! events per device (fed by [`Recorder::emit`] whenever metrics are
+//! enabled, even with the trace sink off) and a bounded list of
+//! launch-failure notes; together with a snapshot they form the post-mortem
+//! that `alpaka-metrics` renders when a launch fails with a structured error.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 
+use crate::recorder::{lock, Recorder};
 use crate::trace::TraceEvent;
 
 /// Label set of one metric instance: `(key, value)` pairs in binding order.
@@ -160,42 +163,25 @@ pub struct MetricsCapture {
     pub snapshot: MetricsSnapshot,
     /// `(device id, ring contents oldest-first)` per device that emitted.
     pub flight: Vec<(u64, Vec<TraceEvent>)>,
+    /// Events the recorder retained per device ring.
+    pub flight_capacity: usize,
     /// Structured launch-failure notes, in failure order.
     pub failures: Vec<String>,
 }
 
 #[derive(Default)]
-struct Registry {
+pub(crate) struct Registry {
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
     histos: BTreeMap<MetricKey, Histogram>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    histos: BTreeMap::new(),
-});
-static FLIGHT: Mutex<BTreeMap<u64, VecDeque<TraceEvent>>> = Mutex::new(BTreeMap::new());
-static FLIGHT_CAP: AtomicUsize = AtomicUsize::new(64);
-static FAILURES: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
 /// Retained failure notes; later failures only bump
 /// `alpaka_failure_notes_dropped_total`.
 const FAILURE_NOTE_CAP: usize = 64;
 
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        if env_metrics_path().is_some() {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-}
-
 /// The `ALPAKA_SIM_METRICS` export base path, if set (empty counts as
-/// unset). Setting it also enables the registry, mirroring
+/// unset). Setting it also enables the process-default registry, mirroring
 /// `ALPAKA_SIM_TRACE`.
 pub fn env_metrics_path() -> Option<String> {
     std::env::var("ALPAKA_SIM_METRICS")
@@ -203,68 +189,11 @@ pub fn env_metrics_path() -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-/// Is the registry on? One relaxed load after a one-time env check;
-/// recording sites call this before building any key so the disabled path
-/// stays allocation-free.
-#[inline]
-pub fn enabled() -> bool {
-    init_from_env();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn the registry on or off explicitly (overrides the env default).
-pub fn set_enabled(on: bool) {
-    init_from_env();
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 fn key(name: &'static str, labels: &[(&'static str, &str)]) -> MetricKey {
     (
         name,
         labels.iter().map(|&(k, v)| (k, v.to_string())).collect(),
     )
-}
-
-/// Add `v` to a monotonic counter (no-op when disabled).
-pub fn counter_add(name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock().unwrap();
-    *reg.counters.entry(key(name, labels)).or_insert(0) += v;
-}
-
-/// Set a gauge to `v` (no-op when disabled).
-pub fn gauge_set(name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock().unwrap();
-    reg.gauges.insert(key(name, labels), v);
-}
-
-/// Record one observation into a latency histogram
-/// ([`LATENCY_BUCKETS_S`]); no-op when disabled.
-pub fn observe(name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-    observe_in(name, labels, LATENCY_BUCKETS_S, v);
-}
-
-/// Record one observation into a histogram with explicit bucket bounds.
-/// The bounds of the *first* observation win for a given `(name, labels)`.
-pub fn observe_in(
-    name: &'static str,
-    labels: &[(&'static str, &str)],
-    bounds: &'static [f64],
-    v: f64,
-) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock().unwrap();
-    reg.histos
-        .entry(key(name, labels))
-        .or_insert_with(|| Histogram::new(bounds))
-        .observe(v);
 }
 
 /// Exact nearest-rank percentile (`p` in [0, 100]) of a sorted slice.
@@ -276,138 +205,191 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Copy the registry out in deterministic `(name, labels)` order.
+impl Recorder {
+    /// Add `v` to a monotonic counter (no-op when metrics are off).
+    pub fn counter_add(&self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
+        if self.metering() {
+            *lock(&self.0.registry)
+                .counters
+                .entry(key(name, labels))
+                .or_insert(0) += v;
+        }
+    }
+
+    /// Set a gauge to `v` (no-op when metrics are off).
+    pub fn gauge_set(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
+        if self.metering() {
+            lock(&self.0.registry).gauges.insert(key(name, labels), v);
+        }
+    }
+
+    /// Record one observation into a latency histogram
+    /// ([`LATENCY_BUCKETS_S`]); no-op when metrics are off.
+    pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
+        self.observe_in(name, labels, LATENCY_BUCKETS_S, v);
+    }
+
+    /// Record one observation into a histogram with explicit bucket bounds.
+    /// The bounds of the *first* observation win for a given `(name, labels)`.
+    pub fn observe_in(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        bounds: &'static [f64],
+        v: f64,
+    ) {
+        if self.metering() {
+            lock(&self.0.registry)
+                .histos
+                .entry(key(name, labels))
+                .or_insert_with(|| Histogram::new(bounds))
+                .observe(v);
+        }
+    }
+
+    /// Record a structured launch failure: bumps
+    /// `alpaka_launch_failures_total{kind}` and retains `[kind] detail` for
+    /// the post-mortem (bounded; overflow is counted, never silent).
+    /// `detail` must be deterministic — simulated clock, kernel/device
+    /// names, fault coordinates — so post-mortems are byte-comparable.
+    pub fn note_failure(&self, kind: &'static str, detail: &str) {
+        if !self.metering() {
+            return;
+        }
+        self.counter_add("alpaka_launch_failures_total", &[("kind", kind)], 1);
+        let mut notes = lock(&self.0.failures);
+        if notes.len() < FAILURE_NOTE_CAP {
+            notes.push(format!("[{kind}] {detail}"));
+        } else {
+            drop(notes);
+            self.counter_add("alpaka_failure_notes_dropped_total", &[], 1);
+        }
+    }
+
+    /// Append one event to its device's ring, evicting the oldest beyond
+    /// the flight capacity. Called by [`Recorder::emit`] whenever metrics
+    /// are on.
+    pub(crate) fn flight_record(&self, ev: &TraceEvent) {
+        let cap = self.0.flight_cap.load(Ordering::Relaxed);
+        let mut rings = lock(&self.0.flight);
+        let ring = rings.entry(ev.device).or_default();
+        while ring.len() >= cap {
+            ring.pop_front();
+        }
+        ring.push_back(ev.clone());
+    }
+
+    /// Copy the registry out in deterministic `(name, labels)` order.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let reg = lock(&self.0.registry);
+        MetricsSnapshot {
+            counters: reg
+                .counters
+                .iter()
+                .map(|((n, ls), v)| (*n, ls.clone(), *v))
+                .collect(),
+            gauges: reg
+                .gauges
+                .iter()
+                .map(|((n, ls), v)| (*n, ls.clone(), *v))
+                .collect(),
+            histograms: reg
+                .histos
+                .iter()
+                .map(|((n, ls), h)| {
+                    let mut sorted = h.samples.clone();
+                    sorted.sort_by(f64::total_cmp);
+                    (
+                        *n,
+                        ls.clone(),
+                        HistogramSnapshot {
+                            bounds: h.bounds.to_vec(),
+                            counts: h.counts.clone(),
+                            sum: h.sum,
+                            count: h.counts.iter().sum(),
+                            p50: percentile(&sorted, 50.0),
+                            p95: percentile(&sorted, 95.0),
+                            p99: percentile(&sorted, 99.0),
+                            dropped: h.dropped,
+                        },
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// The flight-recorder contents: `(device id, events oldest-first)`,
+    /// sorted by device id.
+    pub fn flight_snapshot(&self) -> Vec<(u64, Vec<TraceEvent>)> {
+        lock(&self.0.flight)
+            .iter()
+            .map(|(d, ring)| (*d, ring.iter().cloned().collect()))
+            .collect()
+    }
+
+    /// Failure notes recorded so far, in order.
+    pub fn failures(&self) -> Vec<String> {
+        lock(&self.0.failures).clone()
+    }
+
+    /// Snapshot, flight rings and failure notes together.
+    pub fn metrics_capture(&self) -> MetricsCapture {
+        MetricsCapture {
+            snapshot: self.snapshot(),
+            flight: self.flight_snapshot(),
+            flight_capacity: self.flight_capacity(),
+            failures: self.failures(),
+        }
+    }
+
+    /// Events retained per device by the flight recorder.
+    pub fn flight_capacity(&self) -> usize {
+        self.0.flight_cap.load(Ordering::Relaxed)
+    }
+
+    /// Resize the per-device flight ring (applies to subsequent events).
+    pub fn set_flight_capacity(&self, n: usize) {
+        self.0.flight_cap.store(n.max(1), Ordering::Relaxed);
+    }
+}
+
+/// Is the registry of the current recorder ([`Recorder::current`]) on?
+pub fn enabled() -> bool {
+    Recorder::current().metering()
+}
+
+/// Turn metrics on or off for the current recorder (the process default
+/// outside any capture; overrides the env default).
+pub fn set_enabled(on: bool) {
+    Recorder::current().set_metering(on);
+}
+
+/// [`Recorder::snapshot`] of the current recorder.
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = REGISTRY.lock().unwrap();
-    MetricsSnapshot {
-        counters: reg
-            .counters
-            .iter()
-            .map(|((n, ls), v)| (*n, ls.clone(), *v))
-            .collect(),
-        gauges: reg
-            .gauges
-            .iter()
-            .map(|((n, ls), v)| (*n, ls.clone(), *v))
-            .collect(),
-        histograms: reg
-            .histos
-            .iter()
-            .map(|((n, ls), h)| {
-                let mut sorted = h.samples.clone();
-                sorted.sort_by(f64::total_cmp);
-                (
-                    *n,
-                    ls.clone(),
-                    HistogramSnapshot {
-                        bounds: h.bounds.to_vec(),
-                        counts: h.counts.clone(),
-                        sum: h.sum,
-                        count: h.counts.iter().sum(),
-                        p50: percentile(&sorted, 50.0),
-                        p95: percentile(&sorted, 95.0),
-                        p99: percentile(&sorted, 99.0),
-                        dropped: h.dropped,
-                    },
-                )
-            })
-            .collect(),
-    }
+    Recorder::current().snapshot()
 }
 
-/// Clear every counter, gauge, histogram, flight ring and failure note.
-pub fn reset() {
-    *REGISTRY.lock().unwrap() = Registry::default();
-    FLIGHT.lock().unwrap().clear();
-    FAILURES.lock().unwrap().clear();
-}
-
-/// Events retained per device by the flight recorder.
-pub fn flight_capacity() -> usize {
-    FLIGHT_CAP.load(Ordering::Relaxed)
-}
-
-/// Resize the per-device flight ring (applies to subsequent events).
-pub fn set_flight_capacity(n: usize) {
-    FLIGHT_CAP.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Append one event to its device's ring, evicting the oldest beyond
-/// [`flight_capacity`]. Called by `trace::emit`/`emit_all` whenever metrics
-/// are enabled; not meant for direct use.
-pub(crate) fn flight_record(ev: &TraceEvent) {
-    let cap = flight_capacity();
-    let mut rings = FLIGHT.lock().unwrap();
-    let ring = rings.entry(ev.device).or_default();
-    while ring.len() >= cap {
-        ring.pop_front();
-    }
-    ring.push_back(ev.clone());
-}
-
-/// The flight-recorder contents: `(device id, events oldest-first)`,
-/// sorted by device id.
+/// [`Recorder::flight_snapshot`] of the current recorder.
 pub fn flight_snapshot() -> Vec<(u64, Vec<TraceEvent>)> {
-    FLIGHT
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(d, ring)| (*d, ring.iter().cloned().collect()))
-        .collect()
+    Recorder::current().flight_snapshot()
 }
 
-/// Record a structured launch failure: bumps
-/// `alpaka_launch_failures_total{kind}` and retains `[kind] detail` for the
-/// post-mortem (bounded; overflow is counted, never silent). `detail` must
-/// be deterministic — simulated clock, kernel/device names, fault
-/// coordinates — so post-mortems are byte-comparable.
-pub fn note_failure(kind: &'static str, detail: &str) {
-    if !enabled() {
-        return;
-    }
-    counter_add("alpaka_launch_failures_total", &[("kind", kind)], 1);
-    let mut notes = FAILURES.lock().unwrap();
-    if notes.len() < FAILURE_NOTE_CAP {
-        notes.push(format!("[{kind}] {detail}"));
-    } else {
-        drop(notes);
-        counter_add("alpaka_failure_notes_dropped_total", &[], 1);
-    }
-}
-
-/// Failure notes recorded so far, in order.
+/// [`Recorder::failures`] of the current recorder.
 pub fn failures() -> Vec<String> {
-    FAILURES.lock().unwrap().clone()
+    Recorder::current().failures()
 }
 
-/// Run `f` with metrics enabled and return its result plus everything it
-/// recorded. Like `trace::capture`: concurrent captures serialize on the
-/// shared capture lock, the device/queue id counters reset to zero for the
-/// duration (so reruns produce identical flight-ring keys), and the
-/// previous registry contents and enabled state are restored afterwards.
-/// Do not nest inside `trace::capture` (same lock — it would deadlock);
-/// enable the trace sink with `trace::set_enabled` inside the closure if
-/// both streams are wanted.
+/// Run `f` against a fresh recorder with metrics on, and return its result
+/// plus everything recorded by the devices, queues and pools it built. Like
+/// `trace::capture`: ids start at zero (so reruns produce identical
+/// flight-ring keys), captures nest and run concurrently, and a panic in
+/// `f` leaves no state behind. Call `trace::set_enabled(true)` inside the
+/// closure to collect its trace stream too (`trace::drain`).
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, MetricsCapture) {
-    let _guard = crate::trace::capture_guard();
-    let was = enabled();
-    let saved_reg = std::mem::take(&mut *REGISTRY.lock().unwrap());
-    let saved_flight = std::mem::take(&mut *FLIGHT.lock().unwrap());
-    let saved_fail = std::mem::take(&mut *FAILURES.lock().unwrap());
-    let (saved_dev, saved_q) = crate::trace::save_ids_for_capture();
-    set_enabled(true);
-    let out = f();
-    let cap = MetricsCapture {
-        snapshot: snapshot(),
-        flight: flight_snapshot(),
-        failures: failures(),
-    };
-    set_enabled(was);
-    *REGISTRY.lock().unwrap() = saved_reg;
-    *FLIGHT.lock().unwrap() = saved_flight;
-    *FAILURES.lock().unwrap() = saved_fail;
-    crate::trace::restore_ids_after_capture(saved_dev, saved_q);
-    (out, cap)
+    let rec = Recorder::new();
+    rec.set_metering(true);
+    let out = rec.scope(f);
+    (out, rec.metrics_capture())
 }
 
 #[cfg(test)]
@@ -420,9 +402,10 @@ mod tests {
         let ((), cap) = capture(|| ());
         assert!(cap.snapshot.is_empty());
         if !enabled() {
-            counter_add("x_total", &[], 1);
-            observe("y_seconds", &[], 0.5);
-            note_failure("test", "nope");
+            let rec = Recorder::current();
+            rec.counter_add("x_total", &[], 1);
+            rec.observe("y_seconds", &[], 0.5);
+            rec.note_failure("test", "nope");
             assert!(snapshot().is_empty());
             assert!(failures().is_empty());
         }
@@ -431,14 +414,16 @@ mod tests {
     #[test]
     fn capture_isolates_and_restores() {
         let ((), a) = capture(|| {
-            counter_add("launches_total", &[("kernel", "daxpy")], 2);
-            gauge_set("g", &[], 1.5);
+            let rec = Recorder::current();
+            rec.counter_add("launches_total", &[("kernel", "daxpy")], 2);
+            rec.gauge_set("g", &[], 1.5);
         });
         assert_eq!(a.snapshot.counter_total("launches_total"), 2);
         // A second capture starts from scratch.
         let ((), b) = capture(|| {
-            counter_add("launches_total", &[("kernel", "daxpy")], 2);
-            gauge_set("g", &[], 1.5);
+            let rec = Recorder::current();
+            rec.counter_add("launches_total", &[("kernel", "daxpy")], 2);
+            rec.gauge_set("g", &[], 1.5);
         });
         assert_eq!(a.snapshot, b.snapshot);
     }
@@ -447,7 +432,7 @@ mod tests {
     fn percentiles_are_exact_nearest_rank() {
         let ((), cap) = capture(|| {
             for i in 1..=100 {
-                observe("lat", &[], i as f64 * 1e-3);
+                Recorder::current().observe("lat", &[], i as f64 * 1e-3);
             }
         });
         let h = cap.snapshot.histogram("lat", &[]).unwrap();
@@ -464,9 +449,10 @@ mod tests {
     #[test]
     fn snapshot_order_is_deterministic() {
         let ((), cap) = capture(|| {
-            counter_add("b_total", &[], 1);
-            counter_add("a_total", &[("k", "z")], 1);
-            counter_add("a_total", &[("k", "a")], 1);
+            let rec = Recorder::current();
+            rec.counter_add("b_total", &[], 1);
+            rec.counter_add("a_total", &[("k", "z")], 1);
+            rec.counter_add("a_total", &[("k", "a")], 1);
         });
         let names: Vec<_> = cap
             .snapshot
@@ -482,17 +468,16 @@ mod tests {
     #[test]
     fn flight_ring_keeps_last_n_per_device() {
         let ((), cap) = capture(|| {
-            let prev = flight_capacity();
-            set_flight_capacity(4);
+            let rec = Recorder::current();
+            rec.set_flight_capacity(4);
             for i in 0..10 {
-                crate::trace::emit(TraceEvent::new(
+                rec.emit(TraceEvent::new(
                     TraceKind::Launch,
                     format!("k{i}"),
                     7,
                     i as f64,
                 ));
             }
-            set_flight_capacity(prev);
         });
         let (dev, ring) = &cap.flight[0];
         assert_eq!(*dev, 7);
@@ -505,7 +490,7 @@ mod tests {
     fn failure_notes_are_bounded_and_counted() {
         let ((), cap) = capture(|| {
             for i in 0..(FAILURE_NOTE_CAP + 3) {
-                note_failure("kind", &format!("f{i}"));
+                Recorder::current().note_failure("kind", &format!("f{i}"));
             }
         });
         assert_eq!(cap.failures.len(), FAILURE_NOTE_CAP);

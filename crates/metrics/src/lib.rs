@@ -254,7 +254,7 @@ pub fn postmortem(cap: &MetricsCapture) -> String {
         out,
         "flight recorder ({} device(s), ring capacity {}):",
         cap.flight.len(),
-        metrics::flight_capacity()
+        cap.flight_capacity
     );
     for (dev, ring) in &cap.flight {
         let _ = writeln!(out, "  device {dev}: last {} event(s)", ring.len());
@@ -267,15 +267,11 @@ pub fn postmortem(cap: &MetricsCapture) -> String {
     out
 }
 
-/// Collect the live registry + flight recorder + failure notes into a
-/// [`MetricsCapture`] without resetting anything (unlike
-/// `metrics::capture`, which scopes and restores).
+/// Collect the current recorder's registry + flight recorder + failure
+/// notes into a [`MetricsCapture`] without resetting anything (unlike
+/// `metrics::capture`, which records into a fresh recorder).
 pub fn capture_live() -> MetricsCapture {
-    MetricsCapture {
-        snapshot: metrics::snapshot(),
-        flight: metrics::flight_snapshot(),
-        failures: metrics::failures(),
-    }
+    alpaka_core::Recorder::current().metrics_capture()
 }
 
 /// File-writing front end driven by `ALPAKA_SIM_METRICS=<base>`: writes
@@ -296,7 +292,8 @@ impl MetricsHub {
     }
 
     /// A hub writing to `<base>.prom` / `.json` / `.postmortem.txt`,
-    /// enabling the global registry as a side effect.
+    /// turning metrics on for the current recorder (the process default
+    /// outside any capture) as a side effect.
     pub fn new(base: impl Into<std::path::PathBuf>) -> MetricsHub {
         metrics::set_enabled(true);
         MetricsHub { base: base.into() }
@@ -332,20 +329,22 @@ impl MetricsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpaka_core::metrics::{counter_add, gauge_set, observe, COUNT_BUCKETS};
+    use alpaka_core::metrics::COUNT_BUCKETS;
+    use alpaka_core::Recorder;
     use alpaka_trace::validate_json;
 
     fn sample_capture() -> MetricsCapture {
         let ((), cap) = metrics::capture(|| {
-            counter_add("alpaka_launches_total", &[("kernel", "daxpy")], 3);
-            counter_add("alpaka_launches_total", &[("kernel", "dgemm")], 1);
-            gauge_set("alpaka_sim_cache_hits", &[("cache", "lowering")], 5.0);
+            let rec = Recorder::current();
+            rec.counter_add("alpaka_launches_total", &[("kernel", "daxpy")], 3);
+            rec.counter_add("alpaka_launches_total", &[("kernel", "dgemm")], 1);
+            rec.gauge_set("alpaka_sim_cache_hits", &[("cache", "lowering")], 5.0);
             for v in [1e-4, 2e-4, 3e-4, 4e-4] {
-                observe("alpaka_launch_seconds", &[("kernel", "daxpy")], v);
+                rec.observe("alpaka_launch_seconds", &[("kernel", "daxpy")], v);
             }
-            metrics::observe_in("alpaka_pool_shard_attempts", &[], COUNT_BUCKETS, 2.0);
-            metrics::note_failure("ecc", "daxpy on sim_k20: ecc event at block (1,0,0)");
-            alpaka_core::trace::emit(alpaka_core::trace::TraceEvent::new(
+            rec.observe_in("alpaka_pool_shard_attempts", &[], COUNT_BUCKETS, 2.0);
+            rec.note_failure("ecc", "daxpy on sim_k20: ecc event at block (1,0,0)");
+            rec.emit(alpaka_core::trace::TraceEvent::new(
                 alpaka_core::trace::TraceKind::Launch,
                 "daxpy",
                 0,
@@ -409,7 +408,7 @@ mod tests {
     fn json_snapshot_escapes_hostile_labels() {
         let ((), cap) = metrics::capture(|| {
             let hostile = "bad \"quote\" \\ and \n newline \u{1} ctrl \u{7f} del";
-            counter_add("x_total", &[("k", hostile)], 1);
+            Recorder::current().counter_add("x_total", &[("k", hostile)], 1);
         });
         let json = json_snapshot(&cap.snapshot, &JsonOpts::default());
         validate_json(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
@@ -453,11 +452,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("alpaka_metrics_hub_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ((), _cap) = metrics::capture(|| {
-            counter_add("x_total", &[], 1);
+            let rec = Recorder::current();
+            rec.counter_add("x_total", &[], 1);
             let hub = MetricsHub::new(dir.join("m"));
             let written = hub.flush().unwrap();
             assert_eq!(written.len(), 2, "no postmortem without failures");
-            metrics::note_failure("test", "boom");
+            rec.note_failure("test", "boom");
             let written = hub.flush().unwrap();
             assert_eq!(written.len(), 3);
             for p in &written {

@@ -1928,12 +1928,16 @@ pub fn run_kernel_launch_engine(
     threads: usize,
     engine: Engine,
 ) -> Result<SimReport, SimError> {
-    run_kernel_launch_faulty(spec, mem, prog, wd, args, mode, threads, engine, None)
+    run_kernel_launch_faulty(
+        spec, mem, prog, wd, args, mode, threads, engine, None, false,
+    )
 }
 
-/// [`run_kernel_launch_engine`] with per-launch fault injection. This is
-/// the full entry point the simulated device calls; every other launch
-/// function delegates here with `faults: None`.
+/// [`run_kernel_launch_engine`] with per-launch fault injection and the
+/// profiling switch. This is the full entry point the simulated device
+/// calls, with `profile` set when the device's recorder is tracing; every
+/// other launch function delegates here with `faults: None` and profiling
+/// off.
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_launch_faulty(
     spec: &DeviceSpec,
@@ -1945,6 +1949,7 @@ pub fn run_kernel_launch_faulty(
     threads: usize,
     engine: Engine,
     faults: Option<LaunchFaults>,
+    profile: bool,
 ) -> Result<SimReport, SimError> {
     let host_t0 = Instant::now();
     let threads_per_block = wd.threads_per_block();
@@ -1989,9 +1994,9 @@ pub fn run_kernel_launch_faulty(
     };
 
     let warp_w = spec.warp_width.max(1);
-    // Profiling piggybacks on the tracing switch so the default launch
-    // path stays allocation-free.
-    let numbering = if alpaka_core::trace::enabled() {
+    // Profiling piggybacks on the tracing switch of the launching device's
+    // recorder, so the default launch path stays allocation-free.
+    let numbering = if profile {
         Some(Arc::new(Numbering::new(prog)))
     } else {
         None

@@ -1,6 +1,7 @@
 //! Per-instruction hot-spot profiling.
 //!
-//! When tracing is enabled (`alpaka_core::trace::enabled()`), both engines
+//! When the launching device's recorder is tracing (the `profile` switch of
+//! `run_kernel_launch_faulty`), both engines
 //! attribute every counter they charge to the *source KIR statement* that
 //! caused it, keyed by a canonical instruction index. The index is the
 //! pre-order position of the statement in the program tree ([`Numbering`]),

@@ -338,7 +338,8 @@ pub fn roofline_csv(events: &[TraceEvent]) -> String {
 
 /// File-writing front end for the exporters, driven by the
 /// `ALPAKA_SIM_TRACE=<path>` environment variable (see
-/// `alpaka_core::trace`): collects the globally recorded events and writes
+/// `alpaka_core::trace`): collects the events recorded by the current
+/// recorder (the process default outside any capture) and writes
 /// `<path>.chrome.json`, `<path>.txt` and `<path>.roofline.csv`.
 #[derive(Debug)]
 pub struct Tracer {
@@ -354,7 +355,7 @@ impl Tracer {
     }
 
     /// A tracer writing to `<base>.chrome.json` / `.txt` / `.roofline.csv`,
-    /// enabling global event recording as a side effect.
+    /// turning tracing on for the current recorder as a side effect.
     pub fn new(base: impl Into<std::path::PathBuf>) -> Tracer {
         alpaka_core::trace::set_enabled(true);
         Tracer {

@@ -260,6 +260,7 @@ mod parity {
             threads,
             engine,
             None,
+            false,
         )
         .expect_err("kernel was expected to fault")
     }
